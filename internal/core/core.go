@@ -186,9 +186,12 @@ type Stats struct {
 type Remapper struct {
 	proc *kernel.Process
 
-	// objects indexes every shadow page to its object for fault
-	// explanation and reuse bookkeeping.
-	objects map[vm.VPN]*Object
+	// objects indexes every shadow page of a live or freed object to that
+	// object, for fault explanation and reuse bookkeeping. It is a dense
+	// paged array (pageindex.go), not a map: every allocation stores one
+	// entry per shadow page, and the paper's fresh-pages-per-object scheme
+	// (Insight 1) makes those stores the bulk of the host's bookkeeping.
+	objects pageIndex
 	// byPool tracks objects per pool so pool destroys can retire records.
 	byPool map[*pool.Pool][]*Object
 	// freedNoPool are freed direct-mode objects eligible for recycling.
@@ -256,7 +259,6 @@ type Remapper struct {
 func New(proc *kernel.Process, policy ReusePolicy) *Remapper {
 	return &Remapper{
 		proc:            proc,
-		objects:         make(map[vm.VPN]*Object),
 		byPool:          make(map[*pool.Pool][]*Object),
 		freedInPool:     make(map[*pool.Pool][]*Object),
 		elided:          make(map[vm.Addr]bool),
@@ -412,9 +414,7 @@ func (r *Remapper) Alloc(al Allocator, owner *pool.Pool, size uint64, site strin
 		AllocSeq:   r.allocSeq,
 		Guarded:    guarded,
 	}
-	for i := uint64(0); i < span; i++ {
-		r.objects[vm.PageOf(shadowBase)+vm.VPN(i)] = obj
-	}
+	r.objects.setRun(vm.PageOf(shadowBase), span, obj)
 	if owner != nil {
 		owner.AttachRun(run)
 		r.byPool[owner] = append(r.byPool[owner], obj)
@@ -507,7 +507,7 @@ func (r *Remapper) Free(al Allocator, f vm.Addr, site string) error {
 		return err
 	}
 
-	obj := r.objects[vm.PageOf(f)]
+	obj := r.objects.get(vm.PageOf(f))
 	if obj != nil && obj.State == StateFreed && obj.ShadowAddr == f {
 		// A double free whose mprotect is still queued (batched mode):
 		// the page did not trap, but the bookkeeping knows.
@@ -602,7 +602,7 @@ func (r *Remapper) Free(al Allocator, f vm.Addr, site string) error {
 func (r *Remapper) Explain(fault *vm.Fault, site string) error {
 	// Attribute the trap delivery to the allocation site of the object the
 	// access landed in, when one is known.
-	obj := r.objects[vm.PageOf(fault.Addr)]
+	obj := r.objects.get(vm.PageOf(fault.Addr))
 	if obj != nil {
 		defer r.proc.SetSite(r.proc.SetSite(obj.AllocSite))
 	}
@@ -638,7 +638,13 @@ func (r *Remapper) Explain(fault *vm.Fault, site string) error {
 // ObjectAt returns the remapper's record covering the shadow page of addr,
 // if any (diagnostics and tests).
 func (r *Remapper) ObjectAt(addr vm.Addr) *Object {
-	return r.objects[vm.PageOf(addr)]
+	return r.objects.get(vm.PageOf(addr))
+}
+
+// unindex removes obj's shadow pages from the page index, except pages a
+// later object has since taken over.
+func (r *Remapper) unindex(obj *Object) {
+	r.objects.clearRun(vm.PageOf(obj.ShadowRun.Addr), obj.ShadowRun.Pages, obj)
 }
 
 // OnPoolDestroy retires the remapper's records for a pool that is about to
@@ -661,12 +667,7 @@ func (r *Remapper) OnPoolDestroy(p *pool.Pool) {
 		// delays anything; clearing the flag keeps the quarantine
 		// eviction counter honest.
 		obj.Quarantined = false
-		for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-			vpn := vm.PageOf(obj.ShadowRun.Addr) + vm.VPN(i)
-			if r.objects[vpn] == obj {
-				delete(r.objects, vpn)
-			}
-		}
+		r.unindex(obj)
 	}
 	delete(r.byPool, p)
 	delete(r.freedInPool, p)

@@ -88,12 +88,7 @@ func (r *Remapper) degradeAlloc(owner *pool.Pool, canon vm.Addr) vm.Addr {
 func (r *Remapper) dropUnprotected(obj *Object) {
 	obj.State = StateRecycled
 	obj.RecycledBy = RecycledByUnprotected
-	for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-		vpn := pageOfRun(obj, i)
-		if r.objects[vpn] == obj {
-			delete(r.objects, vpn)
-		}
-	}
+	r.unindex(obj)
 	r.stats.UnprotectedFrees++
 	r.proc.Flight().Record(obs.FlightEvent{
 		Cycles: r.proc.Meter().Cycles(), Kind: obs.FlightDegrade,
@@ -131,19 +126,27 @@ func (r *Remapper) HealthCheck() error {
 // healthCheck is the bare invariant audit.
 func (r *Remapper) healthCheck() error {
 	// (1) The page index only holds live and freed objects, and every
-	// object's pages agree on their owner.
+	// object's pages agree on their owner. The walk is in ascending VPN
+	// order, so the lowest offending page is the one reported.
 	seen := make(map[*Object]bool)
-	for vpn, obj := range r.objects {
+	var err error
+	r.objects.each(func(vpn vm.VPN, obj *Object) bool {
 		if obj.State != StateLive && obj.State != StateFreed {
-			return fmt.Errorf("core: health: %s object (alloc %s) still indexed at page %#x",
+			err = fmt.Errorf("core: health: %s object (alloc %s) still indexed at page %#x",
 				obj.State, obj.AllocSite, uint64(vpn)<<vm.PageShift)
+			return false
 		}
 		base := vm.PageOf(obj.ShadowRun.Addr)
 		if vpn < base || uint64(vpn-base) >= obj.ShadowRun.Pages {
-			return fmt.Errorf("core: health: page %#x indexed to object whose run is %#x/%d",
+			err = fmt.Errorf("core: health: page %#x indexed to object whose run is %#x/%d",
 				uint64(vpn)<<vm.PageShift, obj.ShadowRun.Addr, obj.ShadowRun.Pages)
+			return false
 		}
 		seen[obj] = true
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	// (2) Page counters match the indexed objects exactly.
 	var live, freed uint64
@@ -165,7 +168,7 @@ func (r *Remapper) healthCheck() error {
 	for _, run := range r.recycled {
 		for i := uint64(0); i < run.Pages; i++ {
 			vpn := vm.PageOf(run.Addr) + vm.VPN(i)
-			if obj, ok := r.objects[vpn]; ok {
+			if obj := r.objects.get(vpn); obj != nil {
 				return fmt.Errorf("core: health: recycled run page %#x still indexed to %s object",
 					uint64(vpn)<<vm.PageShift, obj.State)
 			}

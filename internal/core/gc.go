@@ -206,12 +206,7 @@ func (r *Remapper) collect(trigger GCTrigger) GCCycle {
 func (r *Remapper) recycleObject(obj *Object) uint64 {
 	obj.State = StateRecycled
 	obj.RecycledBy = RecycledByGC
-	for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-		vpn := pageOfRun(obj, i)
-		if r.objects[vpn] == obj {
-			delete(r.objects, vpn)
-		}
-	}
+	r.unindex(obj)
 	if obj.Pool != nil {
 		obj.Pool.DetachRun(obj.ShadowRun)
 	}
@@ -221,22 +216,21 @@ func (r *Remapper) recycleObject(obj *Object) uint64 {
 }
 
 // liveNoPoolObjects returns live direct-mode objects (not owned by a pool),
-// sorted by ShadowAddr. The map iteration order is nondeterministic; the
-// sort keeps the root-scan order — and with it cycle charging and any future
-// diagnostics — bit-for-bit reproducible, matching the
+// sorted by ShadowAddr: the page index walks in ascending VPN order and an
+// object's run is a contiguous stretch of it, so skipping repeats of the
+// previous object yields each object once, in shadow-address order. That
+// keeps the root-scan order reproducible, matching the
 // freedPoolsSorted/livePools treatment above.
 func (r *Remapper) liveNoPoolObjects() []*Object {
-	seen := make(map[*Object]struct{})
 	var out []*Object
-	for _, obj := range r.objects {
-		if obj.Pool == nil && obj.State == StateLive {
-			if _, ok := seen[obj]; !ok {
-				seen[obj] = struct{}{}
-				out = append(out, obj)
-			}
+	var prev *Object
+	r.objects.each(func(_ vm.VPN, obj *Object) bool {
+		if obj != prev && obj.Pool == nil && obj.State == StateLive {
+			out = append(out, obj)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ShadowAddr < out[j].ShadowAddr })
+		prev = obj
+		return true
+	})
 	return out
 }
 

@@ -100,12 +100,7 @@ func (r *Remapper) reclaimFreed() uint64 {
 		}
 		obj.State = StateRecycled
 		obj.RecycledBy = RecycledByReclaim
-		for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-			vpn := pageOfRun(obj, i)
-			if r.objects[vpn] == obj {
-				delete(r.objects, vpn)
-			}
-		}
+		r.unindex(obj)
 		if obj.Pool != nil {
 			obj.Pool.DetachRun(obj.ShadowRun)
 		}

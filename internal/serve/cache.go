@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -21,12 +21,14 @@ import (
 type replayKey [sha256.Size]byte
 
 func keyForReplay(tf *trace.File, spans bool) replayKey {
-	var b bytes.Buffer
+	h := sha256.New()
 	if spans {
-		b.WriteString("!spans\n") // not a trace directive; just a key discriminator
+		io.WriteString(h, "!spans\n") // not a trace directive; just a key discriminator
 	}
-	tf.Format(&b)
-	return sha256.Sum256(b.Bytes())
+	tf.Format(h)
+	var k replayKey
+	h.Sum(k[:0])
+	return k
 }
 
 // replayEntry is one memoized replay result: the full response body plus the

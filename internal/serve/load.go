@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -218,6 +217,10 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 		stats     ClientStats
 		latencies []time.Duration
 		rng       *rand.Rand
+		// body is the client's response buffer, reused across its
+		// requests so reading cache-hit bodies does not dominate the
+		// load generator's own cost.
+		body bytes.Buffer
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -235,11 +238,13 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 			if err != nil {
 				return err
 			}
-			body, err := io.ReadAll(resp.Body)
+			acc.body.Reset()
+			_, err = acc.body.ReadFrom(resp.Body)
 			resp.Body.Close()
 			if err != nil {
 				return err
 			}
+			body := acc.body.Bytes()
 			switch resp.StatusCode {
 			case http.StatusOK:
 				acc.stats.Requests++

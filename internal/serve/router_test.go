@@ -174,6 +174,32 @@ func TestRouterNoBackend(t *testing.T) {
 	}
 }
 
+// saturate fills the admission slots of s, a 1-worker, 1-queue-slot
+// server at url, with two slow replays and returns once both are admitted;
+// the caller waits on the returned group. Probing before then is racy: a
+// probe that arrives between the two takes the queue slot, the second
+// replay is shed instead, and the server never fills again.
+func saturate(t *testing.T, s *Server, url string) *sync.WaitGroup {
+	t.Helper()
+	slow := slowTrace(20000)
+	hold := &sync.WaitGroup{}
+	for i := 0; i < 2; i++ {
+		hold.Add(1)
+		go func() {
+			defer hold.Done()
+			postReplay(t, url, slow)
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.queue) < cap(s.queue) {
+		if time.Now().After(deadline) {
+			t.Fatal("the two slow replays were never admitted together")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return hold
+}
+
 // TestRouterPropagatesRetryAfter is the regression test for shed handling
 // under the router: a saturated backend's 429 must reach the client through
 // the proxy with its Retry-After hint intact, so load-generator retries
@@ -189,18 +215,9 @@ func TestRouterPropagatesRetryAfter(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	// Fill both admission slots (1 executing + 1 queued) with slow replays
-	// posted directly to the backend, then hit the router until the shed
-	// surfaces.
-	slow := slowTrace(20000)
-	var hold sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		hold.Add(1)
-		go func() {
-			defer hold.Done()
-			postReplay(t, backend.URL, slow)
-		}()
-	}
+	// Fill both admission slots with slow replays posted directly to the
+	// backend, then hit the router until the shed surfaces.
+	hold := saturate(t, s, backend.URL)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		resp, body := postReplay(t, front.URL, slowTrace(4))
@@ -246,18 +263,10 @@ func TestRouterLoadRetriesSheds(t *testing.T) {
 	defer front.Close()
 
 	// Deterministically saturate the backend first — hold both admission
-	// slots (1 executing + 1 queued) with slow replays and wait until a
-	// probe observes the 429 — so the load run is guaranteed to shed even
-	// on a starved CPU where its own clients never overlap.
-	slow := slowTrace(20000)
-	var hold sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		hold.Add(1)
-		go func() {
-			defer hold.Done()
-			postReplay(t, backend.URL, slow)
-		}()
-	}
+	// slots with slow replays and wait until a probe observes the 429 — so
+	// the load run is guaranteed to shed even on a starved CPU where its
+	// own clients never overlap.
+	hold := saturate(t, s, backend.URL)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		resp, _ := postReplay(t, front.URL, slowTrace(4))

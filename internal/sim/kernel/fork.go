@@ -9,10 +9,10 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/sim/mmu"
-	"repro/internal/sim/phys"
 )
 
 // Freeze marks the machine as an immutable snapshot parent: its physical
@@ -36,7 +36,9 @@ func (s *System) Fork() *System {
 // for that; pageguard.Snapshot verifies it). The clone is observationally
 // identical to a process freshly created by NewProcess with cfg on a fresh
 // machine: same address-space layout, same meter state, same injector
-// stream, same empty MMU caches.
+// stream, same empty MMU caches. The frame refcounts are a slice indexed by
+// FrameID, so the clone takes its own copy in one copy of 4 bytes per frame
+// of the snapshot; the shared frames themselves are not touched.
 func (p *Process) Fork(sys *System, cfg Config) (*Process, error) {
 	if cfg.StackPages == 0 {
 		cfg.StackPages = 256
@@ -60,7 +62,7 @@ func (p *Process) Fork(sys *System, cfg Config) (*Process, error) {
 		space:       space,
 		mmu:         mmu.New(space, sys.mem, meter, cfg.MMU),
 		meter:       meter,
-		frameRefs:   make(map[phys.FrameID]int, len(p.frameRefs)),
+		frameRefs:   slices.Clone(p.frameRefs),
 		inject:      cfg.Faults.NewInjector(sys.procSeq),
 		prof:        obs.NewSiteProfile(),
 		flight:      obs.NewFlightRecorder(obs.DefaultFlightCap),
@@ -74,9 +76,6 @@ func (p *Process) Fork(sys *System, cfg Config) (*Process, error) {
 		globalBase:  p.globalBase,
 		globalLimit: p.globalLimit,
 		globalNext:  p.globalNext,
-	}
-	for f, n := range p.frameRefs {
-		q.frameRefs[f] = n
 	}
 	for i, h := range p.sysHist {
 		if h != nil {

@@ -87,8 +87,10 @@ type Process struct {
 
 	// frameRefs counts, per frame, how many of this process's virtual
 	// pages map it. Aliasing (Insight 1) makes this >1; a frame is
-	// returned to the machine only when its last mapping goes away.
-	frameRefs map[phys.FrameID]int
+	// returned to the machine only when its last mapping goes away. The
+	// machine numbers frames densely from zero, so this is a slice indexed
+	// by FrameID, grown on demand, not a map.
+	frameRefs []int32
 
 	// inject is the per-process fault injector (nil = no injection).
 	inject *Injector
@@ -141,14 +143,13 @@ func NewProcess(sys *System, cfg Config) (*Process, error) {
 	meter := cost.NewMeter(cfg.Model)
 	m := mmu.New(space, sys.mem, meter, cfg.MMU)
 	p := &Process{
-		sys:       sys,
-		space:     space,
-		mmu:       m,
-		meter:     meter,
-		frameRefs: make(map[phys.FrameID]int),
-		inject:    cfg.Faults.NewInjector(sys.procSeq),
-		prof:      obs.NewSiteProfile(),
-		flight:    obs.NewFlightRecorder(obs.DefaultFlightCap),
+		sys:    sys,
+		space:  space,
+		mmu:    m,
+		meter:  meter,
+		inject: cfg.Faults.NewInjector(sys.procSeq),
+		prof:   obs.NewSiteProfile(),
+		flight: obs.NewFlightRecorder(obs.DefaultFlightCap),
 	}
 	sys.procSeq++
 
@@ -211,6 +212,9 @@ func (p *Process) AllocGlobal(size uint64) (vm.Addr, error) {
 // never leaks a frame.
 func (p *Process) mapPage(v vm.VPN, f phys.FrameID, prot vm.Prot) {
 	p.space.Map(v, f, prot)
+	for int(f) >= len(p.frameRefs) {
+		p.frameRefs = append(p.frameRefs, 0)
+	}
 	p.frameRefs[f]++
 }
 
@@ -287,7 +291,7 @@ func (p *Process) dropMapping(v vm.VPN) error {
 	}
 	p.frameRefs[frame]--
 	if p.frameRefs[frame] <= 0 {
-		delete(p.frameRefs, frame)
+		p.frameRefs[frame] = 0
 		if err := p.sys.mem.FreeFrame(frame); err != nil {
 			return err
 		}

@@ -101,47 +101,38 @@ func Replay(m *pageguard.Machine, events []Event) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// ptrs maps trace ids to their current (or last) pointer; freed ids
-	// stay mapped so stale accesses replay faithfully.
-	ptrs := make(map[uint64]pageguard.Ptr)
-	// allocLine/freeLine record each id's provenance (the trace lines that
-	// allocated and freed it) so detections carry source positions.
-	allocLine := make(map[uint64]int)
-	freeLine := make(map[uint64]int)
-	rep := &Report{}
+	// ids holds each allocated trace id's state, stored by value in one
+	// map presized to the trace's allocations.
+	allocs := 0
+	for _, ev := range events {
+		if ev.Kind == EvAlloc {
+			allocs++
+		}
+	}
+	ids := make(map[uint64]idState, allocs)
+	rep := &Report{Annotated: make([]Event, 0, len(events))}
 
-	// Ground truth for the missed-detection ledger. The replayer knows
-	// exactly which ids the trace freed, so every later touch of such an
-	// id is a stale use by construction; handles capture the detector's
-	// own object records at allocation time so a detection can be checked
-	// for correct attribution (the DanglingError must name that very
-	// object).
-	handles := make(map[uint64]*pageguard.ObjectRecord)
-	stale := make(map[uint64]bool)
-
-	// The replayer's pointer copies live in Go maps, which the simulated
+	// The replayer's pointer copies live in a Go map, which the simulated
 	// conservative collector cannot see. Each id therefore gets an 8-byte
 	// root slot in the simulated globals segment (a GC root range)
 	// holding the object's pointer: while the root is live, a correct
 	// collector must not recycle the object's shadow pages. The 'z'
 	// (forget) event zeroes and releases the slot, modelling a program
 	// that lost its last copy of the pointer.
-	rootSlots := make(map[uint64]pageguard.Ptr)
 	var freeSlots []pageguard.Ptr
-	setRoot := func(id uint64, ptr pageguard.Ptr, line int) error {
-		slot, ok := rootSlots[id]
-		if !ok {
+	setRoot := func(id *idState, line int) error {
+		if !id.rooted {
 			if n := len(freeSlots); n > 0 {
-				slot, freeSlots = freeSlots[n-1], freeSlots[:n-1]
+				id.slot, freeSlots = freeSlots[n-1], freeSlots[:n-1]
 			} else {
 				var err error
-				if slot, err = proc.AllocGlobal(8); err != nil {
+				if id.slot, err = proc.AllocGlobal(8); err != nil {
 					return &ReplayError{line, "root table: " + err.Error()}
 				}
 			}
-			rootSlots[id] = slot
+			id.rooted = true
 		}
-		return proc.WriteWordAt(slot, 0, 8, uint64(ptr), "root")
+		return proc.WriteWordAt(id.slot, 0, 8, uint64(id.ptr), "root")
 	}
 
 	verify := false
@@ -162,15 +153,15 @@ func Replay(m *pageguard.Machine, events []Event) (*Report, error) {
 		}
 	}
 
-	note := func(ev Event, err error) error {
+	note := func(ev Event, id idState, err error) error {
 		if err == nil {
 			return nil
 		}
 		var de *pageguard.DanglingError
 		if errors.As(err, &de) {
 			if de.Report != nil {
-				de.Report.AllocLine = allocLine[ev.ID]
-				de.Report.FreeLine = freeLine[ev.ID]
+				de.Report.AllocLine = id.allocLine
+				de.Report.FreeLine = id.freeLine
 			}
 			rep.Detections = append(rep.Detections, Detection{Line: ev.Line, Err: err, Report: de.Report})
 			return nil
@@ -188,9 +179,9 @@ func Replay(m *pageguard.Machine, events []Event) (*Report, error) {
 	// legitimately return a raw fault (shadow pages recycled, attribution
 	// gone) or nothing at all (pages re-aliased to a new object) — those
 	// are exactly the missed detections being measured.
-	classifyStale := func(ev Event, err error) {
+	classifyStale := func(ev Event, id idState, err error) {
 		rep.StaleOps++
-		obj := handles[ev.ID]
+		obj := id.handle
 		var de *pageguard.DanglingError
 		detected := errors.As(err, &de) && obj != nil && de.Object == obj
 		proc.NoteStaleUse(obj, detected)
@@ -199,8 +190,8 @@ func Replay(m *pageguard.Machine, events []Event) (*Report, error) {
 		}
 		if errors.As(err, &de) {
 			if de.Report != nil {
-				de.Report.AllocLine = allocLine[ev.ID]
-				de.Report.FreeLine = freeLine[ev.ID]
+				de.Report.AllocLine = id.allocLine
+				de.Report.FreeLine = id.freeLine
 			}
 			rep.Detections = append(rep.Detections, Detection{Line: ev.Line, Err: err, Report: de.Report})
 		}
@@ -243,72 +234,72 @@ func Replay(m *pageguard.Machine, events []Event) (*Report, error) {
 			if err != nil {
 				return rep, fmt.Errorf("trace line %d: %w", ev.Line, err)
 			}
-			ptrs[ev.ID] = ptr
-			allocLine[ev.ID] = ev.Line
-			delete(freeLine, ev.ID)
-			handles[ev.ID] = proc.ObjectAt(ptr)
-			delete(stale, ev.ID)
-			if err := setRoot(ev.ID, ptr, ev.Line); err != nil {
+			prev := ids[ev.ID]
+			id := idState{ptr: ptr, handle: proc.ObjectAt(ptr), allocLine: ev.Line, slot: prev.slot, rooted: prev.rooted}
+			err = setRoot(&id, ev.Line)
+			ids[ev.ID] = id
+			if err != nil {
 				return rep, err
 			}
 			rep.Allocs++
 		case EvFree:
-			ptr, ok := ptrs[ev.ID]
+			id, ok := ids[ev.ID]
 			if !ok {
 				return rep, &ReplayError{ev.Line, fmt.Sprintf("free of unknown id %d", ev.ID)}
 			}
-			wasStale := stale[ev.ID]
-			err := proc.Free(ptr, site)
-			if wasStale {
+			err := proc.Free(id.ptr, site)
+			if id.stale {
 				// A second free of an id the trace already freed: ground
 				// truth says double-free, whatever the detector returned.
-				classifyStale(ev, err)
+				classifyStale(ev, id, err)
 			} else {
 				if err == nil {
-					freeLine[ev.ID] = ev.Line
-					stale[ev.ID] = true
+					id.freeLine = ev.Line
+					id.stale = true
+					ids[ev.ID] = id
 				}
-				if err := note(ev, err); err != nil {
+				if err := note(ev, id, err); err != nil {
 					return rep, err
 				}
 			}
 			rep.Frees++
 		case EvWrite:
-			ptr, ok := ptrs[ev.ID]
+			id, ok := ids[ev.ID]
 			if !ok {
 				return rep, &ReplayError{ev.Line, fmt.Sprintf("write to unknown id %d", ev.ID)}
 			}
-			err := proc.WriteWordAt(ptr, ev.Off, 8, uint64(ev.Line), site)
-			if stale[ev.ID] {
-				classifyStale(ev, err)
-			} else if err := note(ev, err); err != nil {
+			err := proc.WriteWordAt(id.ptr, ev.Off, 8, uint64(ev.Line), site)
+			if id.stale {
+				classifyStale(ev, id, err)
+			} else if err := note(ev, id, err); err != nil {
 				return rep, err
 			}
 			rep.Writes++
 		case EvRead:
-			ptr, ok := ptrs[ev.ID]
+			id, ok := ids[ev.ID]
 			if !ok {
 				return rep, &ReplayError{ev.Line, fmt.Sprintf("read of unknown id %d", ev.ID)}
 			}
-			_, err := proc.ReadWordAt(ptr, ev.Off, 8, site)
-			if stale[ev.ID] {
-				classifyStale(ev, err)
+			_, err := proc.ReadWordAt(id.ptr, ev.Off, 8, site)
+			if id.stale {
+				classifyStale(ev, id, err)
 			} else if err != nil {
-				if err := note(ev, err); err != nil {
+				if err := note(ev, id, err); err != nil {
 					return rep, err
 				}
 			}
 			rep.Reads++
 		case EvForget:
-			slot, ok := rootSlots[ev.ID]
-			if !ok {
+			id, ok := ids[ev.ID]
+			if !ok || !id.rooted {
 				return rep, &ReplayError{ev.Line, fmt.Sprintf("forget of unknown id %d", ev.ID)}
 			}
-			if err := proc.WriteWordAt(slot, 0, 8, 0, "root"); err != nil {
+			if err := proc.WriteWordAt(id.slot, 0, 8, 0, "root"); err != nil {
 				return rep, fmt.Errorf("trace line %d: %w", ev.Line, err)
 			}
-			delete(rootSlots, ev.ID)
-			freeSlots = append(freeSlots, slot)
+			id.rooted = false
+			ids[ev.ID] = id
+			freeSlots = append(freeSlots, id.slot)
 			rep.Forgets++
 		}
 		proc.EndSpan(opSpan)
@@ -334,6 +325,29 @@ func Replay(m *pageguard.Machine, events []Event) (*Report, error) {
 	rep.Spans = proc.Spans()
 	rep.ChargedCycles = proc.ChargedCycles()
 	return rep, nil
+}
+
+// idState is the replayer's record of one trace id.
+type idState struct {
+	// ptr is the id's current (or last) pointer; a freed id keeps it so
+	// stale accesses replay faithfully.
+	ptr pageguard.Ptr
+	// handle is the detector's own object record, captured at allocation,
+	// so a detection can be checked for correct attribution (the
+	// DanglingError must name that very object).
+	handle *pageguard.ObjectRecord
+	// allocLine and freeLine are the id's provenance (the trace lines that
+	// allocated and freed it), so detections carry source positions.
+	allocLine, freeLine int
+	// stale is the missed-detection ledger's ground truth: the trace has
+	// freed the id, so every later touch of it is a stale use by
+	// construction.
+	stale bool
+	// slot is the id's GC root slot in the simulated globals segment,
+	// holding ptr while rooted; a 'z' event clears rooted and releases
+	// the slot for reuse.
+	slot   pageguard.Ptr
+	rooted bool
 }
 
 // opSpanName names the grouping span for one trace event.

@@ -303,28 +303,37 @@ func ParseFile(r io.Reader) (*File, error) {
 func Format(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	for _, ev := range events {
-		var err error
+		b := bw.AvailableBuffer()
 		switch ev.Kind {
 		case EvAlloc:
-			_, err = fmt.Fprintf(bw, "a %d %d\n", ev.ID, ev.Size)
+			b = appendNums(append(b, 'a'), ev.ID, ev.Size)
 		case EvFree:
-			_, err = fmt.Fprintf(bw, "f %d\n", ev.ID)
+			b = appendNums(append(b, 'f'), ev.ID)
 		case EvForget:
-			_, err = fmt.Fprintf(bw, "z %d\n", ev.ID)
+			b = appendNums(append(b, 'z'), ev.ID)
 		case EvWrite:
-			_, err = fmt.Fprintf(bw, "w %d %d\n", ev.ID, ev.Off)
+			b = appendNums(append(b, 'w'), ev.ID, ev.Off)
 		case EvRead:
-			_, err = fmt.Fprintf(bw, "r %d %d\n", ev.ID, ev.Off)
+			b = appendNums(append(b, 'r'), ev.ID, ev.Off)
 		case EvFault:
-			_, err = fmt.Fprintf(bw, "x %s %s\n", ev.Call, ev.Errno)
+			b = append(append(append(append(b, "x "...), ev.Call...), ' '), ev.Errno...)
+			b = append(b, '\n')
 		default:
-			err = fmt.Errorf("trace: unknown event kind %q", ev.Kind)
+			return fmt.Errorf("trace: unknown event kind %q", ev.Kind)
 		}
-		if err != nil {
+		if _, err := bw.Write(b); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendNums appends " <n>" for each number, then the line's newline.
+func appendNums(b []byte, nums ...uint64) []byte {
+	for _, n := range nums {
+		b = strconv.AppendUint(append(b, ' '), n, 10)
+	}
+	return append(b, '\n')
 }
 
 // Format renders the complete trace, directives included, in the canonical

@@ -120,6 +120,30 @@ f 2
 	}
 }
 
+// TestFormatLines pins the exact rendering of every event kind: the replay
+// cache and the router hash it, so a byte that moves changes every key.
+func TestFormatLines(t *testing.T) {
+	events := []Event{
+		{Kind: EvAlloc, ID: 1, Size: 147456},
+		{Kind: EvWrite, ID: 1, Off: 0},
+		{Kind: EvRead, ID: 18446744073709551615, Off: 8},
+		{Kind: EvFault, Call: "mprotect", Errno: "ENOMEM"},
+		{Kind: EvForget, ID: 1},
+		{Kind: EvFree, ID: 1},
+	}
+	const want = "a 1 147456\nw 1 0\nr 18446744073709551615 8\nx mprotect ENOMEM\nz 1\nf 1\n"
+	var b bytes.Buffer
+	if err := Format(&b, events); err != nil {
+		t.Fatalf("Format: %v", err)
+	}
+	if b.String() != want {
+		t.Fatalf("Format = %q, want %q", b.String(), want)
+	}
+	if err := Format(&b, []Event{{Kind: '?'}}); err == nil {
+		t.Fatal("Format accepted an unknown event kind")
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"x 1 2",
