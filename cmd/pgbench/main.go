@@ -16,7 +16,7 @@
 //	pgbench -bench out.json     # machine-readable per-workload results
 //	pgbench -exhaustbench f.json   # machine-readable exhaustion ladder + corpus
 //	pgbench -tracebench f.json     # span-tracing overhead + reconciliation report
-//	pgbench -servebench f.json     # serving throughput: fresh vs snapshot vs cache
+//	pgbench -servebench f.json     # serving throughput: fresh vs cache
 //	pgbench -check-bench a.json,b.json  # validate artifacts, cross-checking the set
 package main
 
@@ -59,7 +59,7 @@ func main() {
 	exhaustbench := flag.String("exhaustbench", "", "write the machine-readable exhaustion ladder + corpus (JSON) to this path")
 	wallbench := flag.String("wallbench", "", "run the wall-clock benchmark suite and write its JSON report to this path")
 	tracebench := flag.String("tracebench", "", "run the span-tracing overhead benchmark and write its JSON report to this path")
-	servebench := flag.String("servebench", "", "run the serving benchmark (fresh vs snapshot vs cache) and write its JSON report to this path")
+	servebench := flag.String("servebench", "", "run the serving benchmark (fresh vs cache) and write its JSON report to this path")
 	samplebench := flag.String("samplebench", "", "run the sampled-tier study (detection probability vs rate vs overhead) and write its JSON report to this path")
 	serveRequests := flag.Int("serve-requests", 0, "warm-side soak length for -servebench (0 = 200000)")
 	serveFreshRequests := flag.Int("serve-fresh-requests", 0, "fresh-baseline request count for -servebench (0 = 20000)")

@@ -11,30 +11,33 @@ import (
 	"repro/internal/serve"
 )
 
-// The -servebench report: the fleet-serving accelerations, measured against
+// The -servebench report: the content-hash replay cache, measured against
 // the one configuration whose numbers are ground truth — a fresh machine per
 // request with no cache.
 //
-// Three server configurations replay the same Zipf-distributed trace mix:
+// Two server configurations replay the same Zipf-distributed trace mix:
 //
-//	fresh       snapshots off, cache off — every request boots a machine
-//	warm        snapshots on,  cache off — every request forks the pre-warmed
-//	            copy-on-write snapshot but still simulates in full
-//	warm_cached snapshots on,  cache on  — repeat traces are served from the
-//	            content-hash replay cache
+//	fresh       cache off — every request boots a machine and simulates
+//	warm_cached cache on  — repeat traces are served from the content-hash
+//	            replay cache
 //
-// Byte-parity is enforced inside the load generator on every request of all
-// three sides: any response that diverges from the offline pgtrace -ndjson
-// rendering fails the benchmark. The accelerations are therefore pure — the
-// speedups below move zero simulated numbers.
+// Artifacts made while the server could fork machines from a copy-on-write
+// snapshot (BENCH_pr9.json) also carry a third side, warm: cache off, every
+// request on a fork. It is validated when present and no longer produced.
+//
+// Byte-parity is enforced inside the load generator on every request of
+// every side: any response that diverges from the offline pgtrace -ndjson
+// rendering fails the benchmark. The cache is therefore a pure acceleration
+// — the speedup below moves zero simulated numbers.
 //
 // Wall timings are host-dependent, so -check-bench gates relations, not
-// absolutes: the warm_cached side must sustain at least 5x the fresh side's
-// throughput on the same mix, the cache-off sides must report a zero hit
-// ratio, and the cached side's hit ratio must reflect the Zipf skew.
-
-// serveBenchMinSpeedup is the hard acceptance floor for warm_cached vs fresh.
-const serveBenchMinSpeedup = 5.0
+// absolutes: the warm_cached side must be faster than the fresh side on the
+// same mix, the cache-off sides must report a zero hit ratio, and the cached
+// side's hit ratio must reflect the Zipf skew. How much faster is reported,
+// not gated: the ratio falls with every replay speed-up, so a fixed floor on
+// it fails working code. The cost of a hit is gated absolutely instead, by
+// serve's TestCacheHitAllocBudget, and the cost of a miss by trace's
+// TestReplayMissAllocBudget.
 
 // serveBenchDoc is the -servebench export (schema pgbench-serving/v1).
 type serveBenchDoc struct {
@@ -48,13 +51,15 @@ type serveBenchDoc struct {
 	// Clients is the concurrent load-generator client count.
 	Clients int `json:"clients"`
 
-	Fresh      serveBenchSide `json:"fresh"`
-	Warm       serveBenchSide `json:"warm"`
-	WarmCached serveBenchSide `json:"warm_cached"`
+	Fresh serveBenchSide `json:"fresh"`
+	// Warm is the snapshot-fork side of older artifacts; nil in new ones.
+	Warm       *serveBenchSide `json:"warm,omitempty"`
+	WarmCached serveBenchSide  `json:"warm_cached"`
 
 	// SpeedupWarm and SpeedupWarmCached are the req/s ratios against the
-	// fresh side. SpeedupWarmCached must clear serveBenchMinSpeedup.
-	SpeedupWarm       float64 `json:"speedup_warm"`
+	// fresh side. SpeedupWarm is set only alongside Warm.
+	// SpeedupWarmCached must exceed 1.
+	SpeedupWarm       float64 `json:"speedup_warm,omitempty"`
 	SpeedupWarmCached float64 `json:"speedup_warm_cached"`
 }
 
@@ -81,9 +86,9 @@ type serveBenchSide struct {
 
 // serveBenchOpts sizes a -servebench run.
 type serveBenchOpts struct {
-	// requests is the warm_cached soak length. freshRequests sizes the two
-	// full-simulation sides (fresh and warm): their throughput is a
-	// per-request property, so they are measured, not soaked.
+	// requests is the warm_cached soak length. freshRequests sizes the
+	// full-simulation fresh side: its throughput is a per-request
+	// property, so it is measured, not soaked.
 	requests, freshRequests int
 	clients                 int
 	distinct                int
@@ -91,9 +96,9 @@ type serveBenchOpts struct {
 
 // serveBenchTrace synthesizes one request's workload: n multi-page objects
 // cycled through alloc/write/read/free — heavy on page mapping and shadow
-// management, the costs the snapshot fork and the cache elide — plus a few
-// dangling reads so responses carry detections and trap reports, keeping the
-// byte-parity check meaningful. Detections are sparse on purpose: each one
+// management, the costs the cache elides — plus a few dangling reads so
+// responses carry detections and trap reports, keeping the byte-parity
+// check meaningful. Detections are sparse on purpose: each one
 // serializes a full forensic report, and a body dominated by report bytes
 // would measure loopback bandwidth instead of the server.
 func serveBenchTrace(n int) []byte {
@@ -140,9 +145,9 @@ func runServeSide(name string, cfg serve.Config, traces [][]byte, requests, clie
 	return side, nil
 }
 
-// runServeBench measures the three configurations and writes the report to
-// path. The 5x floor is enforced here as well as in -check-bench, so a
-// regression fails the regeneration, not just the validation.
+// runServeBench measures the two configurations and writes the report to
+// path. A cache slower than fresh replay fails here as well as in
+// -check-bench, so it fails the regeneration, not just the validation.
 func runServeBench(path string, o serveBenchOpts) error {
 	if o.requests <= 0 {
 		o.requests = 200000
@@ -167,12 +172,8 @@ func runServeBench(path string, o serveBenchOpts) error {
 	if err != nil {
 		return err
 	}
-	warm, err := runServeSide("warm", serve.Config{Snapshots: true}, traces, o.freshRequests, o.clients)
-	if err != nil {
-		return err
-	}
 	cached, err := runServeSide("warm_cached",
-		serve.Config{Snapshots: true, CacheEntries: 1024}, traces, o.requests, o.clients)
+		serve.Config{CacheEntries: 1024}, traces, o.requests, o.clients)
 	if err != nil {
 		return err
 	}
@@ -185,14 +186,12 @@ func runServeBench(path string, o serveBenchOpts) error {
 		ZipfS:             1.2,
 		Clients:           o.clients,
 		Fresh:             fresh,
-		Warm:              warm,
 		WarmCached:        cached,
-		SpeedupWarm:       warm.Reqps / fresh.Reqps,
 		SpeedupWarmCached: cached.Reqps / fresh.Reqps,
 	}
-	if doc.SpeedupWarmCached < serveBenchMinSpeedup {
-		return fmt.Errorf("servebench: warm_cached sustained %.0f req/s vs fresh %.0f — %.2fx, below the %.0fx floor",
-			cached.Reqps, fresh.Reqps, doc.SpeedupWarmCached, serveBenchMinSpeedup)
+	if doc.SpeedupWarmCached <= 1 {
+		return fmt.Errorf("servebench: warm_cached sustained %.0f req/s vs fresh %.0f — %.2fx, the cache is no faster",
+			cached.Reqps, fresh.Reqps, doc.SpeedupWarmCached)
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -201,15 +200,15 @@ func runServeBench(path string, o serveBenchOpts) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: warm %.2fx, warm+cache %.2fx over fresh (%.0f vs %.0f req/s, hit ratio %.3f)\n",
-		path, doc.SpeedupWarm, doc.SpeedupWarmCached, cached.Reqps, fresh.Reqps, cached.CacheHitRatio)
+	fmt.Printf("wrote %s: cache %.2fx over fresh (%.0f vs %.0f req/s, hit ratio %.3f)\n",
+		path, doc.SpeedupWarmCached, cached.Reqps, fresh.Reqps, cached.CacheHitRatio)
 	return nil
 }
 
-// checkServeBench validates a -servebench artifact: shape sanity per side,
-// zero hit ratio where the cache was off, a skew-consistent hit ratio where
-// it was on, speedups consistent with the recorded throughputs, and the 5x
-// warm_cached floor.
+// checkServeBench validates a -servebench artifact: shape sanity per side
+// (the warm side only when the artifact has one), zero hit ratio where the
+// cache was off, a skew-consistent hit ratio where it was on, speedups
+// consistent with the recorded throughputs, and a cache faster than fresh.
 func checkServeBench(path string, doc *serveBenchDoc) error {
 	if doc.Events <= 0 || doc.Distinct <= 0 || doc.Clients <= 0 {
 		return fmt.Errorf("%s: malformed run shape (events=%d distinct=%d clients=%d)",
@@ -218,10 +217,16 @@ func checkServeBench(path string, doc *serveBenchDoc) error {
 	if doc.Dist != "zipf" {
 		return fmt.Errorf("%s: dist %q, want zipf — the soak must exercise cache skew", path, doc.Dist)
 	}
-	sides := []struct {
+	type namedSide struct {
 		name string
 		s    serveBenchSide
-	}{{"fresh", doc.Fresh}, {"warm", doc.Warm}, {"warm_cached", doc.WarmCached}}
+		// speedup is the recorded req/s ratio against the fresh side.
+		speedup float64
+	}
+	sides := []namedSide{{"fresh", doc.Fresh, 1}, {"warm_cached", doc.WarmCached, doc.SpeedupWarmCached}}
+	if doc.Warm != nil {
+		sides = append(sides, namedSide{"warm", *doc.Warm, doc.SpeedupWarm})
+	}
 	for _, side := range sides {
 		s := side.s
 		if s.Requests <= 0 {
@@ -244,11 +249,13 @@ func checkServeBench(path string, doc *serveBenchDoc) error {
 			return fmt.Errorf("%s: %s reqps %g inconsistent with %d requests in %gs",
 				path, side.name, s.Reqps, s.Requests, s.Secs)
 		}
-	}
-	for _, side := range sides[:2] {
-		if side.s.CacheHitRatio != 0 {
+		if side.name != "warm_cached" && s.CacheHitRatio != 0 {
 			return fmt.Errorf("%s: %s ran with the cache off but reports hit ratio %g",
-				path, side.name, side.s.CacheHitRatio)
+				path, side.name, s.CacheHitRatio)
+		}
+		if want := s.Reqps / doc.Fresh.Reqps; math.Abs(side.speedup-want) > want*0.01 {
+			return fmt.Errorf("%s: speedup_%s %g inconsistent with recorded throughputs (want %g)",
+				path, side.name, side.speedup, want)
 		}
 	}
 	// With a Zipf mix of `distinct` variants against a far larger cache, at
@@ -256,22 +263,15 @@ func checkServeBench(path string, doc *serveBenchDoc) error {
 	if hr := doc.WarmCached.CacheHitRatio; hr < 0.5 || hr > 1 {
 		return fmt.Errorf("%s: warm_cached hit ratio %g outside [0.5, 1] — the cache is not absorbing the Zipf skew", path, hr)
 	}
-	for name, got := range map[string]struct{ speedup, reqps float64 }{
-		"speedup_warm":        {doc.SpeedupWarm, doc.Warm.Reqps},
-		"speedup_warm_cached": {doc.SpeedupWarmCached, doc.WarmCached.Reqps},
-	} {
-		want := got.reqps / doc.Fresh.Reqps
-		if math.Abs(got.speedup-want) > want*0.01 {
-			return fmt.Errorf("%s: %s %g inconsistent with recorded throughputs (want %g)",
-				path, name, got.speedup, want)
-		}
+	if doc.SpeedupWarmCached <= 1 {
+		return fmt.Errorf("%s: warm_cached speedup %.2fx — the cache is no faster than fresh replay",
+			path, doc.SpeedupWarmCached)
 	}
-	if doc.SpeedupWarmCached < serveBenchMinSpeedup {
-		return fmt.Errorf("%s: warm_cached speedup %.2fx below the %.0fx floor",
-			path, doc.SpeedupWarmCached, serveBenchMinSpeedup)
+	checked := doc.Fresh.Requests + doc.WarmCached.Requests
+	if doc.Warm != nil {
+		checked += doc.Warm.Requests
 	}
-	fmt.Printf("%s: ok (warm %.2fx, warm+cache %.2fx over fresh, hit ratio %.3f, %d+%d+%d requests byte-checked)\n",
-		path, doc.SpeedupWarm, doc.SpeedupWarmCached, doc.WarmCached.CacheHitRatio,
-		doc.Fresh.Requests, doc.Warm.Requests, doc.WarmCached.Requests)
+	fmt.Printf("%s: ok (cache %.2fx over fresh, hit ratio %.3f, %d requests byte-checked)\n",
+		path, doc.SpeedupWarmCached, doc.WarmCached.CacheHitRatio, checked)
 	return nil
 }

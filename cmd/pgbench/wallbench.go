@@ -96,10 +96,8 @@ func runWallBench(path string, opts experiment.Options) error {
 		name string
 		run  func() (uint64, float64, error)
 	}{
-		{"translate_radix", func() (uint64, float64, error) { return benchTranslate(false) }},
-		{"translate_legacy_map", func() (uint64, float64, error) { return benchTranslate(true) }},
-		{"access_radix", func() (uint64, float64, error) { return benchAccess(false) }},
-		{"access_legacy_map", func() (uint64, float64, error) { return benchAccess(true) }},
+		{"translate_radix", benchTranslate},
+		{"access_radix", benchAccess},
 		{"pool_alloc_free", benchPoolAllocFree},
 	} {
 		fmt.Printf("wallbench: micro %s...\n", mb.name)
@@ -123,17 +121,9 @@ func runWallBench(path string, opts experiment.Options) error {
 }
 
 // benchTranslate isolates the page-table walk: Lookup over a 64Ki-page
-// working set, the operation the radix tree replaces map hashing in. This is
-// the microbenchmark the radix-vs-map claim is gated on — the difference is
-// large (several-fold) and stable, where the full access path below dilutes
-// it with TLB/cache/meter work that is identical in both configurations.
-func benchTranslate(legacy bool) (uint64, float64, error) {
-	var s *vm.Space
-	if legacy {
-		s = vm.NewLegacyMapSpace()
-	} else {
-		s = vm.NewSpace()
-	}
+// working set, the operation the radix tree replaced map hashing in.
+func benchTranslate() (uint64, float64, error) {
+	s := vm.NewSpace()
 	const pages = 65536
 	vpn, err := s.ReservePages(pages)
 	if err != nil {
@@ -158,11 +148,10 @@ func benchTranslate(legacy bool) (uint64, float64, error) {
 }
 
 // benchAccess times simulated word loads through the full MMU path (page
-// table + TLB + data cache) against either the radix or the legacy map page
-// table, striding across enough pages to exercise translation.
-func benchAccess(legacy bool) (uint64, float64, error) {
+// table + TLB + data cache), striding across enough pages to exercise
+// translation.
+func benchAccess() (uint64, float64, error) {
 	cfg := kernel.DefaultConfig()
-	cfg.LegacyPageTable = legacy
 	sys := kernel.NewSystem(cfg)
 	proc, err := kernel.NewProcess(sys, cfg)
 	if err != nil {
@@ -236,8 +225,8 @@ func benchPoolAllocFree() (uint64, float64, error) {
 }
 
 // checkWallBench validates a -wallbench output file: schema, completeness,
-// and the ordering relations the optimizations are supposed to establish
-// (positive timings, radix access no slower than the legacy map).
+// positive timings, and, in artifacts made while the map page table still
+// existed (BENCH_pr4.json), the radix-vs-map ordering relations.
 func checkWallBench(path string, doc *wallBenchDoc) error {
 	wantTables := []string{"table1", "table2", "table3"}
 	if len(doc.Tables) != len(wantTables) {
@@ -265,28 +254,30 @@ func checkWallBench(path string, doc *wallBenchDoc) error {
 		}
 		micro[m.Name] = m
 	}
-	for _, name := range []string{
-		"translate_radix", "translate_legacy_map",
-		"access_radix", "access_legacy_map", "pool_alloc_free",
-	} {
+	for _, name := range []string{"translate_radix", "access_radix", "pool_alloc_free"} {
 		if _, ok := micro[name]; !ok {
 			return fmt.Errorf("%s: missing micro benchmark %s", path, name)
 		}
 	}
-	// The isolated table walk is the gated claim: the radix tree must beat
+	// Artifacts made while the map page table existed also time it. There
+	// the isolated table walk is the gated claim: the radix tree must beat
 	// the map hash outright (the margin is several-fold, so this never
 	// trips on scheduler noise).
-	if r, l := micro["translate_radix"], micro["translate_legacy_map"]; r.NsOp > l.NsOp {
-		return fmt.Errorf("%s: radix translation slower than legacy map (%.1f ns/op vs %.1f ns/op)",
-			path, r.NsOp, l.NsOp)
+	if l, ok := micro["translate_legacy_map"]; ok {
+		if r := micro["translate_radix"]; r.NsOp > l.NsOp {
+			return fmt.Errorf("%s: radix translation slower than legacy map (%.1f ns/op vs %.1f ns/op)",
+				path, r.NsOp, l.NsOp)
+		}
 	}
 	// The full access path differs by only a few ns between page tables
 	// (TLB/cache/meter work dominates and is identical in both), so allow
 	// generous headroom for host noise while still catching a real
 	// regression such as losing the translation cache.
-	if r, l := micro["access_radix"], micro["access_legacy_map"]; r.NsOp > 1.5*l.NsOp {
-		return fmt.Errorf("%s: radix access path regressed vs legacy map (%.1f ns/op vs %.1f ns/op)",
-			path, r.NsOp, l.NsOp)
+	if l, ok := micro["access_legacy_map"]; ok {
+		if r := micro["access_radix"]; r.NsOp > 1.5*l.NsOp {
+			return fmt.Errorf("%s: radix access path regressed vs legacy map (%.1f ns/op vs %.1f ns/op)",
+				path, r.NsOp, l.NsOp)
+		}
 	}
 	fmt.Printf("%s: ok (tables %.1fs, %.2fx vs seed, %d micro benchmarks)\n",
 		path, doc.TotalSecs, doc.SpeedupVsSeed, len(doc.Micro))

@@ -44,13 +44,12 @@
 // On SIGTERM/SIGINT the server stops accepting connections and drains
 // in-flight replays before exiting.
 //
-// Serving performance: the server pre-warms one machine snapshot at boot and
-// copy-on-write forks it per request (-snapshots, on by default), and
-// memoizes full response bodies in a bounded content-hash LRU keyed by the
-// canonical trace rendering (-cache N entries; 0 disables). Both are pure
-// accelerations — byte-identical responses and identical merged metrics,
-// enforced by parity tests. With either off, behaviour matches the original
-// fresh-machine path exactly.
+// Serving performance: every replay runs on a fresh machine, whose frames
+// get backing storage only on first write, and the server memoizes full
+// response bodies in a bounded content-hash LRU keyed by the canonical trace
+// rendering (-cache N entries; 0 disables). The cache is a pure acceleration
+// — byte-identical responses and identical merged metrics, enforced by
+// parity tests.
 //
 // The -route mode runs pgserved as a sharded router: requests are consistent-
 // hashed by trace content across -backends, so each backend's replay cache
@@ -91,7 +90,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-request replay budget (0 = 30s)")
 	maxBody := flag.Int64("max-body", 0, "request body limit in bytes (0 = 1 MiB)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget")
-	snapshots := flag.Bool("snapshots", true, "fork each replay machine from a pre-warmed copy-on-write snapshot")
 	cache := flag.Int("cache", 1024, "content-hash replay cache entries (0 disables)")
 
 	route := flag.Bool("route", false, "run as a sharded router over -backends instead of serving replays directly")
@@ -124,7 +122,7 @@ func main() {
 		err = runServe(*addr, serve.Config{
 			Workers: *workers, QueueDepth: *queue,
 			Timeout: *timeout, MaxBodyBytes: *maxBody,
-			Snapshots: *snapshots, CacheEntries: *cache,
+			CacheEntries: *cache,
 		}, *drain)
 	}
 	if err != nil {

@@ -5,15 +5,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-// cachedServer boots a server with the serving accelerations on: snapshot
-// forking plus a content-hash cache of the given size.
+// cachedServer boots a server with a content-hash replay cache of the given
+// size.
 func cachedServer(t *testing.T, entries int) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{Snapshots: true, CacheEntries: entries})
+	s := New(Config{CacheEntries: entries})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -176,9 +177,58 @@ func TestCacheMetricsDeterminism(t *testing.T) {
 		return buf.Bytes()
 	}
 	uncached := serveThrice(Config{})
-	cached := serveThrice(Config{Snapshots: true, CacheEntries: 64})
+	cached := serveThrice(Config{CacheEntries: 64})
 	if !bytes.Equal(uncached, cached) {
 		t.Errorf("merged replay metrics diverge between cached and uncached serving:\n%s\nvs\n%s",
 			uncached, cached)
+	}
+}
+
+// A cache hit must cost a fixed amount of host work however fast replay
+// gets, so its budget is absolute rather than a ratio to a fresh replay.
+// Both limits are 25% above the higher of two figures measured for
+// slowTrace(160) served from the cache through the handler (recorder and
+// request included): Go 1.24 on linux/amd64 with its default Swiss-table
+// maps (1329 allocs, 202,856 bytes) and with GOEXPERIMENT=noswissmap
+// (1329 allocs, 202,937 bytes).
+const (
+	cacheHitAllocsBudget = 1661
+	cacheHitBytesBudget  = 253671
+)
+
+// TestCacheHitAllocBudget: serving a cached replay parses the trace, hashes
+// it and copies the stored body out, and nothing that grows with the
+// replay's own cost.
+func TestCacheHitAllocBudget(t *testing.T) {
+	tr := slowTrace(160)
+	s := New(Config{CacheEntries: 64})
+	h := s.Handler()
+	hit := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/replay", bytes.NewReader(tr)))
+		if rec.Code != 200 {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	hit() // the miss that fills the cache
+	hit() // warms lazily built package state
+	allocs := testing.AllocsPerRun(20, hit)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		hit()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if m := s.cache.misses.Load(); m != 1 {
+		t.Fatalf("%d cache misses, want 1: a repeat request replayed", m)
+	}
+	t.Logf("one cache hit: %.0f allocs, %d bytes", allocs, bytes)
+	if allocs > cacheHitAllocsBudget {
+		t.Errorf("one cache hit makes %.0f allocations, budget %d", allocs, cacheHitAllocsBudget)
+	}
+	if bytes > cacheHitBytesBudget {
+		t.Errorf("one cache hit allocates %d bytes, budget %d", bytes, cacheHitBytesBudget)
 	}
 }

@@ -22,7 +22,7 @@ func routerFixture(t *testing.T, n int) (*Router, *httptest.Server, []*Server, [
 	var servers []*Server
 	var backends []*httptest.Server
 	for i := 0; i < n; i++ {
-		s := New(Config{Snapshots: true, CacheEntries: 64})
+		s := New(Config{CacheEntries: 64})
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		servers = append(servers, s)

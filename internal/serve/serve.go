@@ -56,12 +56,6 @@ type Config struct {
 	Timeout time.Duration
 	// RetryAfter is the hint returned with 429 responses (0 = 1s).
 	RetryAfter time.Duration
-	// Snapshots enables the pre-warmed copy-on-write machine snapshot:
-	// replay machines are forked from one frozen image instead of built
-	// from scratch per request. Responses are byte-identical either way
-	// (the parity tests enforce it); off preserves the fresh-machine path
-	// exactly.
-	Snapshots bool
 	// CacheEntries bounds the content-hash replay cache (0 = disabled).
 	// Identical requests (canonical trace + semantics knobs) are served
 	// from the cache without simulating, with single-flight dedup of
@@ -120,13 +114,6 @@ type Server struct {
 	shed     *obs.Counter
 	timeouts *obs.Counter
 
-	// snap, when non-nil, is the pre-warmed frozen machine image every
-	// replay machine is forked from (Config.Snapshots). forks/forkFallbacks
-	// count fork successes and structural-mismatch fallbacks to the fresh
-	// path.
-	snap          *pageguard.Snapshot
-	forks         atomic.Uint64
-	forkFallbacks atomic.Uint64
 	// cache, when non-nil, memoizes replay responses by content hash
 	// (Config.CacheEntries).
 	cache *replayCache
@@ -201,21 +188,6 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(cfg.Workers) })
 	obs.RegisterBuildInfo(s.reg, time.Now())
 
-	if cfg.Snapshots {
-		// A default-shape snapshot serves every request: trace directives
-		// and query overrides are all fork-compatible per-request knobs.
-		// If snapshot creation somehow fails, the fresh-machine path still
-		// serves correctly.
-		if snap, err := pageguard.NewSnapshot(); err == nil {
-			s.snap = snap
-		}
-		s.reg.CounterFunc("pgserved_snapshot_forks_total",
-			"replay machines forked from the pre-warmed snapshot",
-			s.forks.Load)
-		s.reg.CounterFunc("pgserved_snapshot_fallbacks_total",
-			"replay machines built fresh because fork options were structurally incompatible",
-			s.forkFallbacks.Load)
-	}
 	if cfg.CacheEntries > 0 {
 		s.cache = newReplayCache(cfg.CacheEntries, s.reg)
 	}
@@ -523,21 +495,6 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	s.replayFile(w, r, tf, start)
 }
 
-// buildMachine returns the machine for one replay: a fork of the pre-warmed
-// snapshot when enabled and the trace's directives are fork-compatible
-// (they always are today — the fallback guards future structural options),
-// else a fresh machine exactly as before.
-func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) *pageguard.Machine {
-	if s.snap != nil {
-		if m, err := s.snap.Fork(tf.MachineOptions(extra...)...); err == nil {
-			s.forks.Add(1)
-			return m
-		}
-		s.forkFallbacks.Add(1)
-	}
-	return trace.NewMachine(tf, extra...)
-}
-
 // replayFile runs the trace (directives honoured) on a worker slot and
 // streams the canonical NDJSON result. With ?spans=1 the machine is built
 // with span tracing and the body carries the span stream (plus the
@@ -617,7 +574,7 @@ func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.Fi
 // merging the process metrics and counting the completion. Runs on a worker
 // goroutine.
 func (s *Server) renderReplay(tf *trace.File, extra []pageguard.Option, withSpans bool) (*replayEntry, error) {
-	rep, err := trace.Replay(s.buildMachine(tf, extra...), tf.Events)
+	rep, err := trace.Replay(trace.NewMachine(tf, extra...), tf.Events)
 	if err != nil {
 		return nil, err
 	}
@@ -700,7 +657,7 @@ func (s *Server) replayUncached(ctx context.Context, w http.ResponseWriter, r *h
 	// finishes in the background, and its process metrics must land in the
 	// fleet aggregate (no completed replay work is lost).
 	v, err := s.runIsolated(ctx, func() (any, error) {
-		rep, err := trace.Replay(s.buildMachine(tf, extra...), tf.Events)
+		rep, err := trace.Replay(trace.NewMachine(tf, extra...), tf.Events)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -377,5 +378,49 @@ func TestBadTraceRejected(t *testing.T) {
 	resp2, _ := postReplay(t, ts.URL, []byte("r 9 0\n"))
 	if resp2.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("semantic error status = %s, want 422", resp2.Status)
+	}
+}
+
+// TestHugeAllocationReplayBounded: a 36-byte trace that allocates one 4 GiB
+// object, writes one word and frees it. The object's 2^20 frames are
+// allocated but only one is written; before frames got their backing array
+// on first write, this replay zeroed 4 GiB and killed the server with an out
+// of memory error. The served replay must match the offline one byte for
+// byte, and each must allocate well under 256 MB of Go heap.
+func TestHugeAllocationReplayBounded(t *testing.T) {
+	tr := []byte("a 1 4294967296\nw 1 0\nf 1\n")
+	const limit = 256 << 20
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	heapAllocs := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	checkGrowth := func(what string, before uint64) {
+		t.Helper()
+		grew := heapAllocs() - before
+		t.Logf("%s replay allocated %d MB of heap", what, grew>>20)
+		if grew >= limit {
+			t.Errorf("%s replay allocated %d bytes of heap, want under %d", what, grew, limit)
+		}
+	}
+
+	before := heapAllocs()
+	want, err := offlineNDJSON(tr, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGrowth("offline", before)
+
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before = heapAllocs()
+	resp, body := postReplay(t, ts.URL, tr)
+	checkGrowth("served", before)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %s: %s", resp.Status, body)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("HTTP replay diverges from offline:\n%s\nvs\n%s", body, want)
 	}
 }

@@ -53,10 +53,6 @@ type Config struct {
 	// Faults optionally injects deterministic syscall failures into the
 	// fallible memory syscalls (nil = every syscall succeeds).
 	Faults *Schedule
-	// LegacyPageTable selects the map-backed page table instead of the
-	// radix one. Test-only: the golden parity test runs both and asserts
-	// identical simulated results.
-	LegacyPageTable bool
 }
 
 // DefaultConfig returns the reference machine.
@@ -131,9 +127,6 @@ func NewProcess(sys *System, cfg Config) (*Process, error) {
 		cfg.GlobalPages = 64
 	}
 	space := vm.NewSpace()
-	if cfg.LegacyPageTable {
-		space = vm.NewLegacyMapSpace()
-	}
 	if cfg.VABudgetPages != 0 {
 		if need := cfg.StackPages + cfg.GlobalPages; cfg.VABudgetPages < need {
 			return nil, fmt.Errorf("kernel: VA budget of %d pages cannot cover the %d fixed stack+globals pages", cfg.VABudgetPages, need)

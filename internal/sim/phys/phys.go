@@ -32,28 +32,24 @@ type FrameID uint64
 // Memory is a pool of page frames with lazily allocated backing storage.
 // It is not safe for concurrent use.
 //
-// A Memory can be frozen (Freeze) and then forked (Fork) any number of times,
-// including concurrently: each fork shares the frozen parent's frame arrays
-// copy-on-write, so snapshot reuse costs O(frames) pointer copies instead of
-// O(bytes). Writers must go through FrameForWrite, which unshares a frame the
-// first time a fork touches it — the same aliasing trick the paper plays with
-// virtual pages, applied one level up to whole machines.
+// A frame's 4 KiB backing array is made on its first write (FrameForWrite);
+// until then reads see one shared, read-only zero array, the way an
+// untouched anonymous Linux mapping reads the kernel's zero page. This is
+// host-side laziness only: frame IDs, InUse/PeakInUse and the budget count a
+// frame from AllocFrame on, so no simulated number depends on it.
 type Memory struct {
+	// frames[id] is nil until the frame's first write.
 	frames    []*[PageSize]byte
 	isFree    []bool
 	free      []FrameID
 	inUse     uint64
 	peakInUse uint64
 	maxFrames uint64 // 0 means unlimited
-	// frozen marks a snapshot parent: all mutation panics. Forks are never
-	// frozen.
-	frozen bool
-	// shared[id], when true, means frames[id] belongs to the frozen parent
-	// this Memory was forked from and must be copied before any write. nil
-	// for a Memory that was never forked, so the hot path costs one len()
-	// check.
-	shared []bool
 }
+
+// zeroFrame backs every frame that has not been written yet. Nothing may
+// write it: Frame hands it out read-only.
+var zeroFrame [PageSize]byte
 
 // NewMemory returns a Memory with at most maxFrames frames; maxFrames == 0
 // means unlimited.
@@ -64,20 +60,12 @@ func NewMemory(maxFrames uint64) *Memory {
 // AllocFrame returns a zeroed frame, or ErrOutOfMemory if the budget is
 // exhausted.
 func (m *Memory) AllocFrame() (FrameID, error) {
-	if m.frozen {
-		panic("phys: AllocFrame on a frozen snapshot")
-	}
 	if n := len(m.free); n > 0 {
 		id := m.free[n-1]
 		m.free = m.free[:n-1]
 		m.isFree[id] = false
-		if int(id) < len(m.shared) && m.shared[id] {
-			// The backing array still belongs to the frozen snapshot;
-			// replace it rather than zeroing the shared storage in place.
-			m.frames[id] = new([PageSize]byte)
-			m.shared[id] = false
-		} else {
-			*m.frames[id] = [PageSize]byte{}
+		if f := m.frames[id]; f != nil {
+			*f = [PageSize]byte{}
 		}
 		m.noteAlloc()
 		return id, nil
@@ -86,7 +74,7 @@ func (m *Memory) AllocFrame() (FrameID, error) {
 		return 0, ErrOutOfMemory
 	}
 	id := FrameID(len(m.frames))
-	m.frames = append(m.frames, new([PageSize]byte))
+	m.frames = append(m.frames, nil)
 	m.isFree = append(m.isFree, false)
 	m.noteAlloc()
 	return id, nil
@@ -103,9 +91,6 @@ func (m *Memory) noteAlloc() {
 // frame is a programming error in the kernel layer and returns an error so
 // tests can catch it.
 func (m *Memory) FreeFrame(id FrameID) error {
-	if m.frozen {
-		panic("phys: FreeFrame on a frozen snapshot")
-	}
 	if uint64(id) >= uint64(len(m.frames)) {
 		return fmt.Errorf("phys: free of invalid frame %d", id)
 	}
@@ -118,63 +103,26 @@ func (m *Memory) FreeFrame(id FrameID) error {
 	return nil
 }
 
-// Frame returns the backing array of a frame for direct byte access.
-// The caller must hold a valid FrameID from AllocFrame. After a Fork the
-// array may be shared with the snapshot parent: callers that write must use
-// FrameForWrite instead.
+// Frame returns the backing array of a frame for reading. The caller must
+// hold a valid FrameID from AllocFrame. The result is read-only: a frame
+// that has never been written returns the shared zero array, so writers
+// must use FrameForWrite instead.
 func (m *Memory) Frame(id FrameID) *[PageSize]byte {
-	return m.frames[id]
+	if f := m.frames[id]; f != nil {
+		return f
+	}
+	return &zeroFrame
 }
 
-// FrameForWrite returns the backing array of a frame for mutation, unsharing
-// it first if it still belongs to the frozen snapshot this Memory was forked
-// from.
+// FrameForWrite returns the backing array of a frame for mutation, making
+// it on the frame's first write.
 func (m *Memory) FrameForWrite(id FrameID) *[PageSize]byte {
-	if m.frozen {
-		panic("phys: write to a frozen snapshot frame")
+	f := m.frames[id]
+	if f == nil {
+		f = new([PageSize]byte)
+		m.frames[id] = f
 	}
-	if int(id) < len(m.shared) && m.shared[id] {
-		cp := new([PageSize]byte)
-		*cp = *m.frames[id]
-		m.frames[id] = cp
-		m.shared[id] = false
-	}
-	return m.frames[id]
-}
-
-// Freeze marks the Memory as an immutable snapshot parent. All further
-// mutation (alloc, free, FrameForWrite) panics; Fork becomes legal. Freeze is
-// idempotent and must be called before the Memory is shared across
-// goroutines.
-func (m *Memory) Freeze() { m.frozen = true }
-
-// Frozen reports whether Freeze has been called.
-func (m *Memory) Frozen() bool { return m.frozen }
-
-// Fork returns a mutable copy-on-write clone of a frozen Memory. The clone
-// shares every frame's backing array with the parent until FrameForWrite (or
-// a free-list AllocFrame reuse) unshares it. Fork is safe to call from many
-// goroutines at once because it only reads the frozen parent.
-func (m *Memory) Fork() *Memory {
-	if !m.frozen {
-		panic("phys: Fork of an unfrozen Memory")
-	}
-	n := &Memory{
-		frames:    make([]*[PageSize]byte, len(m.frames)),
-		isFree:    make([]bool, len(m.isFree)),
-		free:      make([]FrameID, len(m.free)),
-		inUse:     m.inUse,
-		peakInUse: m.peakInUse,
-		maxFrames: m.maxFrames,
-		shared:    make([]bool, len(m.frames)),
-	}
-	copy(n.frames, m.frames)
-	copy(n.isFree, m.isFree)
-	copy(n.free, m.free)
-	for i := range n.shared {
-		n.shared[i] = true
-	}
-	return n
+	return f
 }
 
 // InUse returns the number of frames currently allocated.

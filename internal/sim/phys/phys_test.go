@@ -6,13 +6,18 @@ import (
 	"testing/quick"
 )
 
+// TestAllocFrameZeroed: a never-written frame reads the shared zero array,
+// and a written frame that is freed and reallocated reads zero again.
 func TestAllocFrameZeroed(t *testing.T) {
 	m := NewMemory(0)
 	id, err := m.AllocFrame()
 	if err != nil {
 		t.Fatalf("AllocFrame: %v", err)
 	}
-	m.Frame(id)[123] = 0xAB
+	if f := m.Frame(id); f != &zeroFrame || *f != ([PageSize]byte{}) {
+		t.Fatal("a never-written frame does not read the shared zero array")
+	}
+	m.FrameForWrite(id)[123] = 0xAB
 	if err := m.FreeFrame(id); err != nil {
 		t.Fatalf("FreeFrame: %v", err)
 	}

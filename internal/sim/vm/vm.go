@@ -167,20 +167,11 @@ const (
 	radixMidMask  = radixMidSize - 1
 )
 
-// spaceToken identifies the Space that owns a radix node. Nodes reached from
-// a Space whose token differs from the node's owner are shared with a frozen
-// snapshot parent and must be path-copied before mutation (persistent-tree
-// copy-on-write, the same aliasing idea the shadow pages use, applied to the
-// page table itself).
-type spaceToken struct{ _ byte }
-
 type radixLeaf struct {
-	owner *spaceToken
-	ptes  [radixLeafSize]pte
+	ptes [radixLeafSize]pte
 }
 
 type radixMid struct {
-	owner  *spaceToken
 	leaves [radixMidSize]*radixLeaf
 }
 
@@ -190,21 +181,10 @@ type radixMid struct {
 //
 // The page table is a three-level radix tree (see the geometry constants
 // above): Translate is three array indexings instead of a map hash, which is
-// what keeps the simulated load/store fast path free of hashing. A map-backed
-// legacy mode (NewLegacyMapSpace) is kept solely so the parity tests can
-// prove the radix table changes no observable result.
+// what keeps the simulated load/store fast path free of hashing.
 type Space struct {
 	root [radixTopSize]*radixMid
-	// self is this Space's node-ownership token: radix nodes whose owner
-	// field equals self may be mutated in place; any other node is shared
-	// with a snapshot parent and is copied on first write.
-	self *spaceToken
-	// frozen marks a snapshot parent: all mutation panics, Fork is legal.
-	frozen bool
-	// legacy, when non-nil, replaces the radix tree with the original
-	// map-based page table. Parity-test shim only.
-	legacy map[VPN]pte
-	// mapped is the live page-table entry count (len() of the former map).
+	// mapped is the live page-table entry count.
 	mapped uint64
 	// epoch increments on every Map/Protect/Unmap so the MMU's one-entry
 	// translation cache can validate itself without a table walk.
@@ -232,19 +212,8 @@ type Space struct {
 // NewSpace returns an empty address space backed by the radix page table.
 func NewSpace() *Space {
 	return &Space{
-		self: new(spaceToken),
 		next: 16, // leave the first 64 KB unmapped (NULL guard)
 	}
-}
-
-// NewLegacyMapSpace returns an empty address space backed by the original
-// map[VPN]pte page table. It exists only for the golden parity tests, which
-// run workloads through both page-table implementations and require
-// bit-identical simulation results; production paths always use NewSpace.
-func NewLegacyMapSpace() *Space {
-	s := NewSpace()
-	s.legacy = make(map[VPN]pte)
-	return s
 }
 
 // Epoch returns the page-table mutation counter. Any cached translation made
@@ -274,58 +243,18 @@ func (s *Space) lookupPTE(vpn VPN) *pte {
 }
 
 // ensurePTE returns a pointer to the (possibly absent) entry for vpn,
-// allocating radix nodes along the path as needed and path-copying any node
-// still shared with a snapshot parent.
+// allocating radix nodes along the path as needed.
 func (s *Space) ensurePTE(vpn VPN) *pte {
 	top := vpn >> (radixMidBits + radixLeafBits)
 	mid := s.root[top]
 	if mid == nil {
-		mid = &radixMid{owner: s.self}
+		mid = new(radixMid)
 		s.root[top] = mid
-	} else if mid.owner != s.self {
-		cp := &radixMid{owner: s.self, leaves: mid.leaves}
-		mid = cp
-		s.root[top] = cp
 	}
 	li := (vpn >> radixLeafBits) & radixMidMask
 	leaf := mid.leaves[li]
 	if leaf == nil {
-		leaf = &radixLeaf{owner: s.self}
-		mid.leaves[li] = leaf
-	} else if leaf.owner != s.self {
-		cp := &radixLeaf{owner: s.self, ptes: leaf.ptes}
-		leaf = cp
-		mid.leaves[li] = leaf
-	}
-	return &leaf.ptes[vpn&radixLeafMask]
-}
-
-// mutablePTE returns a writable pointer to the live entry for vpn, or nil
-// when the page is unmapped. Unlike lookupPTE it path-copies shared radix
-// nodes, so the returned entry is always safe to mutate; unlike ensurePTE it
-// never allocates nodes for absent paths.
-func (s *Space) mutablePTE(vpn VPN) *pte {
-	top := vpn >> (radixMidBits + radixLeafBits)
-	if top >= radixTopSize {
-		return nil
-	}
-	mid := s.root[top]
-	if mid == nil {
-		return nil
-	}
-	li := (vpn >> radixLeafBits) & radixMidMask
-	leaf := mid.leaves[li]
-	if leaf == nil || !leaf.ptes[vpn&radixLeafMask].present {
-		return nil
-	}
-	if mid.owner != s.self {
-		cp := &radixMid{owner: s.self, leaves: mid.leaves}
-		mid = cp
-		s.root[top] = cp
-	}
-	if leaf.owner != s.self {
-		cp := &radixLeaf{owner: s.self, ptes: leaf.ptes}
-		leaf = cp
+		leaf = new(radixLeaf)
 		mid.leaves[li] = leaf
 	}
 	return &leaf.ptes[vpn&radixLeafMask]
@@ -338,9 +267,6 @@ var ErrAddressSpaceExhausted = fmt.Errorf("vm: virtual address space exhausted (
 // ReservePages hands out n fresh, never-before-used consecutive virtual
 // pages and returns the first VPN. The pages are not mapped yet.
 func (s *Space) ReservePages(n uint64) (VPN, error) {
-	if s.frozen {
-		panic("vm: ReservePages on a frozen snapshot")
-	}
 	if n == 0 {
 		return 0, fmt.Errorf("vm: reserve of zero pages")
 	}
@@ -360,17 +286,7 @@ func (s *Space) ReservePages(n uint64) (VPN, error) {
 // any existing entry. vpn must lie inside the 47-bit user space (ReservePages
 // never hands out anything else).
 func (s *Space) Map(vpn VPN, frame phys.FrameID, prot Prot) {
-	if s.frozen {
-		panic("vm: Map on a frozen snapshot")
-	}
 	s.epoch++
-	if s.legacy != nil {
-		if _, ok := s.legacy[vpn]; !ok {
-			s.noteMapped()
-		}
-		s.legacy[vpn] = pte{frame: frame, prot: prot, present: true}
-		return
-	}
 	if uint64(vpn) >= UserAddrLimit>>PageShift {
 		panic(fmt.Sprintf("vm: map of page %#x beyond the %d-bit user space", uint64(vpn)<<PageShift, UserAddrBits))
 	}
@@ -392,19 +308,8 @@ func (s *Space) noteMapped() {
 // Unmap removes the mapping for vpn. Unmapping an unmapped page is an error
 // (the kernel layer never does it).
 func (s *Space) Unmap(vpn VPN) error {
-	if s.frozen {
-		panic("vm: Unmap on a frozen snapshot")
-	}
 	s.epoch++
-	if s.legacy != nil {
-		if _, ok := s.legacy[vpn]; !ok {
-			return fmt.Errorf("vm: unmap of unmapped page %#x", uint64(vpn)<<PageShift)
-		}
-		delete(s.legacy, vpn)
-		s.mapped--
-		return nil
-	}
-	e := s.mutablePTE(vpn)
+	e := s.lookupPTE(vpn)
 	if e == nil {
 		return fmt.Errorf("vm: unmap of unmapped page %#x", uint64(vpn)<<PageShift)
 	}
@@ -415,20 +320,8 @@ func (s *Space) Unmap(vpn VPN) error {
 
 // Protect sets the protection bits of vpn.
 func (s *Space) Protect(vpn VPN, prot Prot) error {
-	if s.frozen {
-		panic("vm: Protect on a frozen snapshot")
-	}
 	s.epoch++
-	if s.legacy != nil {
-		e, ok := s.legacy[vpn]
-		if !ok {
-			return fmt.Errorf("vm: protect of unmapped page %#x", uint64(vpn)<<PageShift)
-		}
-		e.prot = prot
-		s.legacy[vpn] = e
-		return nil
-	}
-	e := s.mutablePTE(vpn)
+	e := s.lookupPTE(vpn)
 	if e == nil {
 		return fmt.Errorf("vm: protect of unmapped page %#x", uint64(vpn)<<PageShift)
 	}
@@ -438,10 +331,6 @@ func (s *Space) Protect(vpn VPN, prot Prot) error {
 
 // Lookup returns the frame and protection of vpn.
 func (s *Space) Lookup(vpn VPN) (phys.FrameID, Prot, bool) {
-	if s.legacy != nil {
-		e, ok := s.legacy[vpn]
-		return e.frame, e.prot, ok
-	}
 	e := s.lookupPTE(vpn)
 	if e == nil {
 		return 0, 0, false
@@ -452,14 +341,7 @@ func (s *Space) Lookup(vpn VPN) (phys.FrameID, Prot, bool) {
 // Translate checks an access of the given kind to addr and returns the frame
 // backing it. On failure it returns a *Fault.
 func (s *Space) Translate(addr Addr, kind AccessKind) (phys.FrameID, *Fault) {
-	var e *pte
-	if s.legacy != nil {
-		if le, ok := s.legacy[PageOf(addr)]; ok {
-			e = &le
-		}
-	} else {
-		e = s.lookupPTE(PageOf(addr))
-	}
+	e := s.lookupPTE(PageOf(addr))
 	if e == nil {
 		return 0, &Fault{Addr: addr, Access: kind, Reason: FaultUnmapped}
 	}
@@ -473,17 +355,9 @@ func (s *Space) Translate(addr Addr, kind AccessKind) (phys.FrameID, *Fault) {
 	return e.frame, nil
 }
 
-// ForEach calls fn for every live page-table entry. Iteration order is
-// unspecified (the radix table happens to iterate in ascending VPN order; the
-// legacy map does not). Used by the kernel's teardown and the
-// conservative-GC study, both of which order their work independently.
+// ForEach calls fn for every live page-table entry in ascending VPN order.
+// Used by the kernel's teardown and the conservative-GC study.
 func (s *Space) ForEach(fn func(VPN, phys.FrameID, Prot)) {
-	if s.legacy != nil {
-		for v, e := range s.legacy {
-			fn(v, e.frame, e.prot)
-		}
-		return
-	}
 	for ti, mid := range s.root {
 		if mid == nil {
 			continue
@@ -525,40 +399,3 @@ func (s *Space) SetBudget(pages uint64) { s.budget = pages }
 // BudgetPages returns the configured fresh-reservation cap, or 0 when only
 // the architectural limit applies.
 func (s *Space) BudgetPages() uint64 { return s.budget }
-
-// Freeze marks the Space as an immutable snapshot parent. All further
-// mutation panics; Fork becomes legal. Freeze is idempotent and must be
-// called before the Space is shared across goroutines.
-func (s *Space) Freeze() { s.frozen = true }
-
-// Frozen reports whether Freeze has been called.
-func (s *Space) Frozen() bool { return s.frozen }
-
-// Fork returns a mutable copy-on-write clone of a frozen Space. The clone
-// shares every radix node with the parent; a node is path-copied the first
-// time the clone mutates a page inside it, so an N-fork fleet pays for page
-// tables proportional to what it changes, not to what it inherited. Fork is
-// safe to call from many goroutines at once because it only reads the frozen
-// parent.
-func (s *Space) Fork() *Space {
-	if !s.frozen {
-		panic("vm: Fork of an unfrozen Space")
-	}
-	n := &Space{
-		root:       s.root, // shallow: nodes stay owned by the parent's token
-		self:       new(spaceToken),
-		mapped:     s.mapped,
-		epoch:      s.epoch,
-		next:       s.next,
-		peakMapped: s.peakMapped,
-		everMapped: s.everMapped,
-		budget:     s.budget,
-	}
-	if s.legacy != nil {
-		n.legacy = make(map[VPN]pte, len(s.legacy))
-		for v, e := range s.legacy {
-			n.legacy[v] = e
-		}
-	}
-	return n
-}

@@ -238,13 +238,10 @@ func TestPageSpanProperty(t *testing.T) {
 	}
 }
 
-// forEachSpace runs a subtest against both page-table implementations: the
-// radix tree and the legacy map shim the parity tests keep alive. Edge-case
-// behaviour must be identical in both.
+// forEachSpace runs a subtest against the radix page table.
 func forEachSpace(t *testing.T, fn func(t *testing.T, s *Space)) {
 	t.Helper()
 	t.Run("radix", func(t *testing.T) { fn(t, NewSpace()) })
-	t.Run("legacy-map", func(t *testing.T) { fn(t, NewLegacyMapSpace()) })
 }
 
 // TestBoundaryVPN maps the very last page of the 47-bit user space and
@@ -352,13 +349,58 @@ func TestProtectPartiallyMappedRange(t *testing.T) {
 	})
 }
 
-// TestRadixMatchesLegacyMap drives both page-table implementations through
-// the same pseudo-random mix of Map/Protect/Unmap/Translate traffic and
-// requires identical observable state throughout — the differential version
-// of the experiment-level golden parity test.
+// mapModel is the reference page table TestRadixMatchesLegacyMap checks the
+// radix Space against: the original map-based table, which production code
+// no longer has.
+type mapModel map[VPN]pte
+
+func (m mapModel) Map(vpn VPN, frame phys.FrameID, prot Prot) {
+	m[vpn] = pte{frame: frame, prot: prot, present: true}
+}
+
+// Protect and Unmap report whether vpn was mapped.
+func (m mapModel) Protect(vpn VPN, prot Prot) bool {
+	e, ok := m[vpn]
+	if ok {
+		e.prot = prot
+		m[vpn] = e
+	}
+	return ok
+}
+
+func (m mapModel) Unmap(vpn VPN) bool {
+	_, ok := m[vpn]
+	delete(m, vpn)
+	return ok
+}
+
+func (m mapModel) Lookup(vpn VPN) (phys.FrameID, Prot, bool) {
+	e, ok := m[vpn]
+	return e.frame, e.prot, ok
+}
+
+// Translate returns the fault reason, or 0 when the access is allowed.
+func (m mapModel) Translate(addr Addr, kind AccessKind) (phys.FrameID, FaultReason) {
+	e, ok := m[PageOf(addr)]
+	if !ok {
+		return 0, FaultUnmapped
+	}
+	need := ProtRead
+	if kind == AccessWrite {
+		need = ProtWrite
+	}
+	if e.prot&need == 0 {
+		return 0, FaultProtection
+	}
+	return e.frame, 0
+}
+
+// TestRadixMatchesLegacyMap drives the radix page table and the map model
+// through the same pseudo-random mix of Map/Protect/Unmap/Translate traffic
+// and requires identical observable state throughout.
 func TestRadixMatchesLegacyMap(t *testing.T) {
 	radix := NewSpace()
-	legacy := NewLegacyMapSpace()
+	model := mapModel{}
 	// Deterministic xorshift stream; no host randomness in tests.
 	state := uint64(0x9E3779B97F4A7C15)
 	next := func() uint64 {
@@ -372,9 +414,6 @@ func TestRadixMatchesLegacyMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lbase, err := legacy.ReservePages(pages); err != nil || lbase != base {
-		t.Fatalf("legacy ReservePages = %v %v, want %v", lbase, err, base)
-	}
 	prots := []Prot{ProtNone, ProtRead, ProtRW}
 	for step := 0; step < 5000; step++ {
 		vpn := base + VPN(next()%pages)
@@ -383,19 +422,17 @@ func TestRadixMatchesLegacyMap(t *testing.T) {
 			frame := phys.FrameID(next() % 64)
 			prot := prots[next()%uint64(len(prots))]
 			radix.Map(vpn, frame, prot)
-			legacy.Map(vpn, frame, prot)
+			model.Map(vpn, frame, prot)
 		case 1:
 			prot := prots[next()%uint64(len(prots))]
 			rErr := radix.Protect(vpn, prot)
-			lErr := legacy.Protect(vpn, prot)
-			if (rErr == nil) != (lErr == nil) {
-				t.Fatalf("step %d: Protect(%#x) radix err %v, legacy err %v", step, vpn, rErr, lErr)
+			if mapped := model.Protect(vpn, prot); (rErr == nil) != mapped {
+				t.Fatalf("step %d: Protect(%#x) radix err %v, model mapped %v", step, vpn, rErr, mapped)
 			}
 		case 2:
 			rErr := radix.Unmap(vpn)
-			lErr := legacy.Unmap(vpn)
-			if (rErr == nil) != (lErr == nil) {
-				t.Fatalf("step %d: Unmap(%#x) radix err %v, legacy err %v", step, vpn, rErr, lErr)
+			if mapped := model.Unmap(vpn); (rErr == nil) != mapped {
+				t.Fatalf("step %d: Unmap(%#x) radix err %v, model mapped %v", step, vpn, rErr, mapped)
 			}
 		case 3:
 			addr := Addr(vpn)<<PageShift + next()%PageSize
@@ -404,40 +441,35 @@ func TestRadixMatchesLegacyMap(t *testing.T) {
 				kind = AccessWrite
 			}
 			rf, rFault := radix.Translate(addr, kind)
-			lf, lFault := legacy.Translate(addr, kind)
-			if (rFault == nil) != (lFault == nil) || rf != lf {
-				t.Fatalf("step %d: Translate(%#x, %v) radix (%v, %v), legacy (%v, %v)",
-					step, addr, kind, rf, rFault, lf, lFault)
+			mf, mReason := model.Translate(addr, kind)
+			var rReason FaultReason
+			if rFault != nil {
+				rReason = rFault.Reason
 			}
-			if rFault != nil && rFault.Reason != lFault.Reason {
-				t.Fatalf("step %d: fault reasons differ: %v vs %v", step, rFault.Reason, lFault.Reason)
+			if rReason != mReason || rf != mf {
+				t.Fatalf("step %d: Translate(%#x, %v) radix (%v, %v), model (%v, %v)",
+					step, addr, kind, rf, rFault, mf, mReason)
 			}
 		}
-		if radix.MappedPages() != legacy.MappedPages() {
-			t.Fatalf("step %d: mapped %d (radix) vs %d (legacy)", step, radix.MappedPages(), legacy.MappedPages())
+		if radix.MappedPages() != uint64(len(model)) {
+			t.Fatalf("step %d: mapped %d (radix) vs %d (model)", step, radix.MappedPages(), len(model))
 		}
 	}
 	// Final sweep: every page's Lookup must agree.
 	for i := VPN(0); i < pages; i++ {
 		rf, rp, rok := radix.Lookup(base + i)
-		lf, lp, lok := legacy.Lookup(base + i)
-		if rf != lf || rp != lp || rok != lok {
-			t.Fatalf("page %d: radix (%v,%v,%v) vs legacy (%v,%v,%v)", i, rf, rp, rok, lf, lp, lok)
+		mf, mp, mok := model.Lookup(base + i)
+		if rf != mf || rp != mp || rok != mok {
+			t.Fatalf("page %d: radix (%v,%v,%v) vs model (%v,%v,%v)", i, rf, rp, rok, mf, mp, mok)
 		}
 	}
 }
 
-// benchmarkTranslate isolates the page-table walk itself: Lookup over a
-// 64Ki-page working set, the operation the radix tree replaces map hashing
-// in. Unlike the full MMU access path (where TLB/cache/meter work dilutes
-// the difference), this shows the table implementations' raw gap.
-func benchmarkTranslate(b *testing.B, legacy bool) {
-	var s *Space
-	if legacy {
-		s = NewLegacyMapSpace()
-	} else {
-		s = NewSpace()
-	}
+// BenchmarkTranslate isolates the page-table walk itself: Lookup over a
+// 64Ki-page working set. Unlike the full MMU access path (where
+// TLB/cache/meter work dilutes it), this shows the table's raw cost.
+func BenchmarkTranslate(b *testing.B) {
+	s := NewSpace()
 	const pages = 65536
 	vpn, err := s.ReservePages(pages)
 	if err != nil {
@@ -456,11 +488,4 @@ func benchmarkTranslate(b *testing.B, legacy bool) {
 		sink += uint64(f)
 	}
 	_ = sink
-}
-
-// BenchmarkTranslate compares raw page-table lookup between the radix tree
-// and the legacy map page table.
-func BenchmarkTranslate(b *testing.B) {
-	b.Run("radix", func(b *testing.B) { benchmarkTranslate(b, false) })
-	b.Run("legacy-map", func(b *testing.B) { benchmarkTranslate(b, true) })
 }

@@ -236,10 +236,6 @@ func WithFaultSchedule(spec string) Option {
 type Machine struct {
 	cfg machineConfig
 	sys *kernel.System
-	// prepared, when non-nil, is a pre-warmed kernel process (forked from a
-	// Snapshot) consumed by the next NewProcess call in place of a fresh
-	// kernel.NewProcess. See snapshot.go.
-	prepared *kernel.Process
 }
 
 // NewMachine boots a machine.
@@ -274,15 +270,9 @@ func (m *Machine) NewProcess() (*Process, error) {
 	if m.cfg.schedErr != nil {
 		return nil, m.cfg.schedErr
 	}
-	var proc *kernel.Process
-	if m.prepared != nil {
-		proc, m.prepared = m.prepared, nil
-	} else {
-		var err error
-		proc, err = kernel.NewProcess(m.sys, m.cfg.kernel)
-		if err != nil {
-			return nil, err
-		}
+	proc, err := kernel.NewProcess(m.sys, m.cfg.kernel)
+	if err != nil {
+		return nil, err
 	}
 	remap := core.New(proc, m.cfg.policy)
 	if m.cfg.spans {

@@ -12,7 +12,7 @@
 #   the span-tracing gate (regenerate BENCH_pr8.json; the ?spans=1 stream
 #   must match pgtrace -ndjson -spans byte-for-byte and its trailer must
 #   reconcile leaf-span cycles against kernel-charged cycles exactly), and
-#   the fleet-serving gate (router smoke over two snapshot+cache backends
+#   the fleet-serving gate (router smoke over two caching backends
 #   with routed bytes diffed against pgtrace -ndjson, plus the serving
 #   benchmark regenerated into scratch and BENCH_pr9.json cross-validated),
 #   and the sampled-tier gate (the router's merged crash buckets checked as
@@ -60,18 +60,20 @@ echo "== bench artifact (BENCH_pr3.json) =="
 "$pgbench" -bench BENCH_pr3.json
 "$pgbench" -check-bench BENCH_pr3.json
 
-echo "== page-table / parallel-harness parity =="
+echo "== parallel-harness parity =="
 # The wall-clock fast paths (radix page table, translation cache, parallel
 # cells) must not move a single simulated number: run the golden parity
-# tests against the legacy map shim and across worker counts.
+# tests across worker counts (the table goldens and BENCH_pr3.json pin the
+# numbers themselves).
 go test ./internal/experiment/ -run 'Parity|ParallelByteIdentical' -count=1
 go test ./cmd/pgbench/ -run 'Parallel' -count=1
 
 echo "== wall-clock bench artifact (BENCH_pr4.json) =="
 # Wall-clock timings are machine-dependent, so regenerate into a scratch
-# file and validate shape + ordering relations (radix translation faster
-# than the map, access path unregressed); the committed artifact documents
-# the reference container and is checked for validity as-is.
+# file and validate its shape; the committed artifact documents the
+# reference container and is checked for validity as-is, including its
+# radix-vs-map relations (radix translation faster than the map, access
+# path unregressed), which only it still records.
 wallbench=$(mktemp -t pgwallbench.XXXXXX)
 trap 'rm -f "$pgbench" "$pglint" "$wallbench"' EXIT
 "$pgbench" -j 1 -wallbench "$wallbench"
@@ -195,7 +197,7 @@ fi
 echo "pgserved smoke: 64 replays byte-identical to offline, clean SIGTERM drain"
 
 echo "== pgserved router smoke (2 backends, consistent hashing, clean drain) =="
-# Two snapshot+cache backends behind a -route front: load through the router
+# Two caching backends behind a -route front: load through the router
 # (byte-identity per response asserted inside the generator, including a
 # Zipf-distributed variant mix), diff one routed body against pgtrace
 # -ndjson, then SIGTERM all three and require clean drains.
@@ -293,8 +295,8 @@ echo "router smoke: routed bytes identical to offline, zipf mix verified, 3 clea
 
 echo "== serving bench artifact (BENCH_pr9.json) =="
 # Wall timings are machine-dependent: regenerate into a scratch file (the
-# generator enforces the 5x warm+cache floor and per-request byte-parity
-# itself) and validate the committed artifact as-is, cross-checked with the
+# generator enforces a cache faster than fresh replay and per-request
+# byte-parity itself) and validate the committed artifact as-is, cross-checked with the
 # other four.
 servebench=$(mktemp -t pgservebench.XXXXXX)
 trap 'kill "$servepid" "$b1pid" "$b2pid" "$routerpid" 2>/dev/null || true; rm -f "$pgbench" "$pglint" "$wallbench" "$tracebench" "$metrics" "$metrics.prom" "$pgserved" "$pgtracebin" "$servelog" "$servebody" "$offline" "$b1log" "$b2log" "$routerlog" "$servebench"' EXIT

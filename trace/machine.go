@@ -2,11 +2,12 @@ package trace
 
 import "repro/pageguard"
 
-// MachineOptions returns the pageguard options that honour every directive
-// of f, followed by extra. Building the replay machine through this (or
-// NewMachine) is what makes a directive-carrying trace reproduce its
-// producing run bit-for-bit.
-func (f *File) MachineOptions(extra ...pageguard.Option) []pageguard.Option {
+// NewMachine boots a machine configured by f's directives plus extra
+// options. Building the replay machine through this is what makes a
+// directive-carrying trace reproduce its producing run bit-for-bit.
+// Malformed directive specs surface as an error from the machine's next
+// NewProcess call (and therefore from Replay).
+func NewMachine(f *File, extra ...pageguard.Option) *pageguard.Machine {
 	var opts []pageguard.Option
 	if f.FaultSpec != "" {
 		opts = append(opts, pageguard.WithFaultSchedule(f.FaultSpec))
@@ -23,12 +24,5 @@ func (f *File) MachineOptions(extra ...pageguard.Option) []pageguard.Option {
 	if f.SamplingSpec != "" {
 		opts = append(opts, pageguard.WithSampling(f.SamplingSpec))
 	}
-	return append(opts, extra...)
-}
-
-// NewMachine boots a machine configured by f's directives plus extra
-// options. Malformed directive specs surface as an error from the machine's
-// next NewProcess call (and therefore from Replay).
-func NewMachine(f *File, extra ...pageguard.Option) *pageguard.Machine {
-	return pageguard.NewMachine(f.MachineOptions(extra...)...)
+	return pageguard.NewMachine(append(opts, extra...)...)
 }
